@@ -1,6 +1,6 @@
 // Command wbsn-signal dumps any registered synthetic signal kind (ECG, EMG,
 // PPG) as CSV for inspection, with the ground-truth event annotations as
-// comments. It supersedes cmd/wbsn-ecg, which remains as an ECG-only alias.
+// comments; the default kind, ecg, dumps the synthetic multi-lead ECG record.
 // The signal can be configured by flags or taken from a scenario file; with
 // multi-rate divisors the decimated channels leave blank cells on the base
 // indices they skip, making the per-channel sampling grids visible.

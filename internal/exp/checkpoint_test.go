@@ -2,111 +2,192 @@ package exp
 
 import (
 	"bytes"
-	"encoding/gob"
-	"errors"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/platform"
 	"repro/internal/power"
 )
 
-func writeEnvelope(t *testing.T, path string, env checkpointEnvelope) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+func TestLoadCheckpointRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	op := OperatingPoint{FreqHz: 1.5e6, VoltageV: 0.65}
+	d := 987654.3210000001
+	if err := st.PutSolve("k", op); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutDemand("d", d); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(power.DefaultParams())
+	if err := s.LoadCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	solved, demands := s.completed()
+	if len(solved) != 1 || len(demands) != 1 || solved["k"] != op || demands["d"] != d {
+		t.Fatalf("loaded %v / %v, want k=%v / d=%v bit-exactly", solved, demands, op, d)
+	}
+	// Loading is not work the session did: its counters stay untouched.
+	if st := s.Stats(); st != (SessionStats{}) {
+		t.Fatalf("load moved the session counters: %+v", st)
+	}
+}
+
+// TestLoadCheckpointWrongMagic pins the most common wrong path: a
+// wbsn-sim platform snapshot (a regular file) handed to the session flag.
+// Both directions refuse it, and saving leaves it intact.
+func TestLoadCheckpointWrongMagic(t *testing.T) {
+	opts := tinyOpts()
+	sig, err := opts.Record(apps.MF3L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := apps.Build(apps.MF3L, power.MC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := v.NewPlatform(sig, 1e6, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := platform.WriteSnapshotFile(&buf, &platform.SnapshotFile{Snap: p.Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sim.ckpt")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+
+	s := NewSession(power.DefaultParams())
+	for name, f := range map[string]func(string) error{"load": s.LoadCheckpoint, "save": s.SaveCheckpoint} {
+		err := f(path)
+		if err == nil || !strings.Contains(err.Error(), "directory") || !strings.Contains(err.Error(), "snapshot") {
+			t.Errorf("%s on a platform snapshot: got %v, want a directory-expected error with the snapshot hint", name, err)
+		}
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, buf.Bytes()) {
+		t.Fatalf("refused save touched the file (err %v)", err)
+	}
 }
 
-func TestLoadCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
-	s := NewSession(power.DefaultParams())
-	env := checkpointEnvelope{
-		Magic:   checkpointMagic,
-		Version: CheckpointVersion,
-		Solved:  map[string]OperatingPoint{"k": {FreqHz: 1.5e6, VoltageV: 0.65}},
-		Demands: map[string]float64{"d": 987654.3210000001},
-	}
-	writeEnvelope(t, path, env)
-	if err := s.LoadCheckpoint(path); err != nil {
+// TestLoadCheckpointVersionMismatch pins the result-version rule: entries
+// an earlier build stored — under the previous version tag, or under keys
+// from before keys carried one — miss, whether bulk-loaded or read through
+// a backing store, and the solve recomputes.
+func TestLoadCheckpointVersionMismatch(t *testing.T) {
+	opts := tinyOpts()
+	sig, err := opts.Record(apps.MF3L)
+	if err != nil {
 		t.Fatal(err)
 	}
-	solved, demands := s.CheckpointSize()
-	if solved != 1 || demands != 1 {
-		t.Fatalf("loaded %d/%d entries, want 1/1", solved, demands)
+	probe, err := opts.probeRecord(apps.MF3L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := solveKeyString(apps.MF3L, power.MC, keyOf(sig), keyOf(probe), opts)
+	tag := fmt.Sprintf("|v%d|", resultVersion)
+	if !strings.Contains(key, tag) {
+		t.Fatalf("solve key %q lacks the result version tag %q", key, tag)
+	}
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := OperatingPoint{FreqHz: 123, VoltageV: 9}
+	for _, old := range []string{strings.Replace(key, tag, fmt.Sprintf("|v%d|", resultVersion-1), 1), strings.Replace(key, tag, "|", 1)} {
+		if err := st.PutSolve(old, stale); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := NewSession(nil)
+	if err := s.LoadCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.SetStore(st)
+	got, err := s.SolveOperatingPoint(context.Background(), apps.MF3L, power.MC, sig, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := s.Stats(); got == stale || stats.ProbeRuns == 0 || stats.SolveHits != 0 || stats.StoreHits != 0 {
+		t.Errorf("stale entries answered: solve = %+v, stats %+v", got, stats)
 	}
 }
 
-func TestLoadCheckpointWrongMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
-	writeEnvelope(t, path, checkpointEnvelope{Magic: "wbsn-platform-snapshot", Version: CheckpointVersion})
-	err := NewSession(power.DefaultParams()).LoadCheckpoint(path)
-	if !errors.Is(err, ErrCheckpointMagic) {
-		t.Fatalf("foreign file: got %v, want ErrCheckpointMagic", err)
+// TestLoadCheckpointTruncated pins the damage rule: one bad entry fails
+// the whole load, names its file, and leaves the session empty.
+func TestLoadCheckpointTruncated(t *testing.T) {
+	cases := map[string]func(st *DirStore) (string, error){
+		"truncated entry": func(st *DirStore) (string, error) {
+			path := st.path(classSolve, "k2", ".json")
+			return path, os.WriteFile(path, []byte(`{"key":"k2","freq`), 0o644)
+		},
+		"misplaced entry": func(st *DirStore) (string, error) {
+			if err := st.PutDemand("d1", 1); err != nil {
+				return "", err
+			}
+			path := st.path(classDemand, "d2", ".json")
+			return path, os.Rename(st.path(classDemand, "d1", ".json"), path)
+		},
 	}
-	// The message should steer toward the most common cause: pointing the
-	// session flag at a platform snapshot.
-	if !strings.Contains(err.Error(), "snapshot") {
-		t.Fatalf("magic error lacks the snapshot hint: %v", err)
-	}
-	if errors.Is(err, ErrCheckpointVersion) || errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("magic error aliases another class: %v", err)
-	}
-}
-
-func TestLoadCheckpointVersionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
-	writeEnvelope(t, path, checkpointEnvelope{Magic: checkpointMagic, Version: CheckpointVersion + 1})
-	err := NewSession(power.DefaultParams()).LoadCheckpoint(path)
-	if !errors.Is(err, ErrCheckpointVersion) {
-		t.Fatalf("future version: got %v, want ErrCheckpointVersion", err)
-	}
-	// Both versions must appear, so the user can tell which side is stale.
-	for _, want := range []string{"version", "delete the file"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("version error lacks %q: %v", want, err)
+	for name, damage := range cases {
+		dir := t.TempDir()
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutSolve("k1", OperatingPoint{FreqHz: 1e6, VoltageV: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutDemand("d0", 2e6); err != nil {
+			t.Fatal(err)
+		}
+		bad, err := damage(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(power.DefaultParams())
+		err = s.LoadCheckpoint(dir)
+		if err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%s: got %v, want an error naming %s", name, err, bad)
+		}
+		if solved, demands := s.CheckpointSize(); solved != 0 || demands != 0 {
+			t.Errorf("%s: failed load left %d/%d entries in the session", name, solved, demands)
 		}
 	}
 }
 
-func TestLoadCheckpointTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
-	s := NewSession(power.DefaultParams())
-	writeEnvelope(t, path, checkpointEnvelope{Magic: checkpointMagic, Version: CheckpointVersion,
-		Solved: map[string]OperatingPoint{"k": {FreqHz: 1e6, VoltageV: 0.5}}})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = s.LoadCheckpoint(path)
-	if !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("truncated gob: got %v, want ErrCheckpointCorrupt", err)
-	}
-	if !strings.Contains(err.Error(), "delete the file") {
-		t.Fatalf("corrupt error lacks the recovery hint: %v", err)
-	}
-	// A failed load must not contaminate the session.
-	if solved, demands := s.CheckpointSize(); solved != 0 || demands != 0 {
-		t.Fatalf("failed load left %d/%d entries in the session", solved, demands)
-	}
-}
-
+// TestLoadCheckpointArbitraryBytes: a regular file of any content is
+// refused as a store root by every entry point, before anything is read or
+// written.
 func TestLoadCheckpointArbitraryBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.WriteFile(path, []byte("#!/bin/sh\necho not a checkpoint\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := NewSession(power.DefaultParams()).LoadCheckpoint(path)
-	// Non-gob data fails in the decoder, before magic is ever seen.
-	if !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("arbitrary bytes: got %v, want ErrCheckpointCorrupt", err)
+	if _, err := OpenStore(path); err == nil || !strings.Contains(err.Error(), "directory") {
+		t.Errorf("OpenStore on a regular file: %v", err)
+	}
+	if err := NewSession(nil).LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "directory") {
+		t.Errorf("LoadCheckpoint on a regular file: %v", err)
+	}
+	// A missing path fails to load and is not created.
+	missing := filepath.Join(t.TempDir(), "missing")
+	if err := NewSession(nil).LoadCheckpoint(missing); err == nil {
+		t.Error("loading a missing store succeeded")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("loading created the missing store (stat: %v)", err)
 	}
 }

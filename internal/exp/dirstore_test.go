@@ -1,21 +1,19 @@
-package store
+package exp
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/exp"
 )
 
 func TestSolveDemandRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := "solve|3l-mf|multi:sync|sig={...}|dur=2.5|exact=false"
-	op := exp.OperatingPoint{FreqHz: 1.1e6 / 3, VoltageV: 0.7000000000000001}
+	op := OperatingPoint{FreqHz: 1.1e6 / 3, VoltageV: 0.7000000000000001}
 	if _, ok, err := s.GetSolve(key); ok || err != nil {
 		t.Fatalf("empty store: ok=%v err=%v", ok, err)
 	}
@@ -48,16 +46,16 @@ func TestSolveDemandRoundTrip(t *testing.T) {
 
 func TestReopenedStoreServesEntries(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(dir)
+	s1, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := exp.OperatingPoint{FreqHz: 2.2e6, VoltageV: 0.8}
+	op := OperatingPoint{FreqHz: 2.2e6, VoltageV: 0.8}
 	if err := s1.PutSolve("k", op); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +71,11 @@ func TestReopenedStoreServesEntries(t *testing.T) {
 
 func TestKeyMismatchIsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutSolve("key-a", exp.OperatingPoint{FreqHz: 1e6, VoltageV: 0.5}); err != nil {
+	if err := s.PutSolve("key-a", OperatingPoint{FreqHz: 1e6, VoltageV: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	// Move the entry onto key-b's content address: the stored key no longer
@@ -103,7 +101,7 @@ func TestKeyMismatchIsCorruption(t *testing.T) {
 
 func TestAtomicWriteLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,10 @@
 //     the probe boundary.
 //  4. Measure: continues the probe-boundary snapshot to Options.Duration
 //     (bit-identical to a from-scratch run) and computes the power report.
-//  5. Checkpoint: SaveCheckpoint persists solved points and demand
-//     estimates; a later invocation's LoadCheckpoint skips the
-//     simulations that produced them.
+//  5. Persist: a result store (DirStore, installed with SetStore) keeps
+//     solved points, demand estimates and warm snapshots as they are
+//     produced, so a later invocation skips the simulations that produced
+//     them; SaveCheckpoint/LoadCheckpoint copy the same format in bulk.
 //
 // Results are bit-identical to solving each cell from scratch
 // (SolveOperatingPointFromScratch is retained as the reference, and the
@@ -119,13 +120,25 @@ func (o Options) base() signal.Config {
 // record Measure runs against).
 func (o Options) Record(app string) (*signal.Source, error) {
 	cfg := apps.SourceConfig(app, o.base())
-	// Synthesize enough signal to cover probe and measurement without
-	// trace wrap-around mattering (the ADC loops the trace anyway).
-	dur := o.Duration
-	if dur < o.ProbeDuration {
-		dur = o.ProbeDuration
+	return o.synthesize(cfg, o.recordSeconds())
+}
+
+// recordSeconds is the measured record's length: enough signal to cover
+// probe and measurement without trace wrap-around mattering (the ADC loops
+// the trace anyway).
+func (o Options) recordSeconds() float64 {
+	return max(o.Duration, o.ProbeDuration) + 2
+}
+
+// CheckRecord reports whether the record these options synthesize stays
+// within signal.CheckDuration's bounds, so a service can refuse an
+// oversized request before solving it.
+func (o Options) CheckRecord() error {
+	cfg, err := signal.Normalize(o.base())
+	if err != nil {
+		return err
 	}
-	return o.synthesize(cfg, dur+2)
+	return signal.CheckDuration(o.recordSeconds(), cfg.SampleRateHz)
 }
 
 // probeRecord returns the record used for operating-point solving. RP-CLASS

@@ -35,7 +35,9 @@ import (
 //
 // A Session is safe for concurrent use; the parallel sweep engine threads
 // one through its whole worker pool. Solved points and demand estimates can
-// be persisted across process invocations with SaveCheckpoint/LoadCheckpoint.
+// be persisted across process invocations through a result store (DirStore):
+// written through as they are produced with SetStore, or copied in bulk with
+// SaveCheckpoint/LoadCheckpoint.
 type Session struct {
 	params *power.Params
 	cache  *signal.Cache
@@ -314,6 +316,23 @@ type solveEntry struct {
 	err  error
 }
 
+// resultVersion tags every solve, demand and warm key, so it is part of
+// each result's store address. Bump it whenever the key serialization or
+// the persisted values change, including any change that alters solved
+// results (solver schedule, margins, VFS table): a store written by an
+// older build then misses and recomputes, instead of smuggling old answers
+// into new runs.
+//
+// Version history (1 and 2 numbered the retired single-file checkpoint):
+//
+//	1 — initial format
+//	2 — keys serialize the sync-architecture descriptor through
+//	    power.Arch.Key() (canonical groups/timeout form) instead of the
+//	    display name, so descriptor-equal customs share entries
+//	3 — the version is folded into the keys themselves; the result store
+//	    is the only on-disk format
+const resultVersion = 3
+
 type warmKey struct {
 	VK            variantKey
 	Sig           sourceKey
@@ -327,8 +346,8 @@ type warmKey struct {
 // store, in the same style as the solve and demand key strings: everything
 // the probe-boundary platform state depends on.
 func warmKeyString(k warmKey) string {
-	return fmt.Sprintf("warm|%s|%s|sig=%+v|freq=%v|volt=%v|dur=%v|exact=%v",
-		k.VK.App, k.VK.Arch.Key(), k.Sig, k.FreqHz, k.VoltageV, k.ProbeDuration, k.Exact)
+	return fmt.Sprintf("warm|v%d|%s|%s|sig=%+v|freq=%v|volt=%v|dur=%v|exact=%v",
+		resultVersion, k.VK.App, k.VK.Arch.Key(), k.Sig, k.FreqHz, k.VoltageV, k.ProbeDuration, k.Exact)
 }
 
 // variant returns the built (assembled, linked) application image for
@@ -397,12 +416,12 @@ func (s *Session) withCache(opts Options) Options {
 }
 
 // demandKeyString serializes the demand-cache identity (stable across
-// processes, so checkpoints can persist the map). The measured record's base
-// rate is part of it: the SC per-sample deadline peak is derived from it, so
-// two solves probing the same record but measuring differently-rated ones
-// must not share an estimate.
+// processes, so the result store can persist the map). The measured
+// record's base rate is part of it: the SC per-sample deadline peak is
+// derived from it, so two solves probing the same record but measuring
+// differently-rated ones must not share an estimate.
 func demandKeyString(app string, demandArch power.Arch, probe sourceKey, baseRateHz float64, opts Options) string {
-	return fmt.Sprintf("demand|%s|%s|%+v|rate=%v|probe=%v|exact=%v", app, demandArch.Key(), probe, baseRateHz, opts.ProbeDuration, opts.Exact)
+	return fmt.Sprintf("demand|v%d|%s|%s|%+v|rate=%v|probe=%v|exact=%v", resultVersion, app, demandArch.Key(), probe, baseRateHz, opts.ProbeDuration, opts.Exact)
 }
 
 // transient reports whether err is a context-cancellation outcome: a fact
@@ -429,7 +448,7 @@ func (e *probeError) Unwrap() error { return e.err }
 // solveKeyString serializes the solved-point identity: everything the
 // escalation loop's outcome depends on.
 func solveKeyString(app string, arch power.Arch, sig, probe sourceKey, opts Options) string {
-	return fmt.Sprintf("solve|%s|%s|sig=%+v|probe=%+v|dur=%v|exact=%v", app, arch.Key(), sig, probe, opts.ProbeDuration, opts.Exact)
+	return fmt.Sprintf("solve|v%d|%s|%s|sig=%+v|probe=%+v|dur=%v|exact=%v", resultVersion, app, arch.Key(), sig, probe, opts.ProbeDuration, opts.Exact)
 }
 
 // SolveOperatingPoint finds the minimum real-time clock and sustaining

@@ -25,9 +25,10 @@ import (
 //     template, failing candidates abort at their first real-time
 //     violation, builds and probes are shared.
 //   - checkpointed: the Session additionally starts from the previous
-//     invocation's checkpoint, the wbsn-bench -checkpoint workflow for
-//     tracking bench trajectories across PRs — the solve loop is answered
-//     from the checkpoint and only the measurements simulate. This is the
+//     invocation's results, bulk-loaded from a result store — the
+//     wbsn-bench -checkpoint workflow for tracking bench trajectories
+//     across commits — so the solve loop is answered from memory and only
+//     the measurements simulate. This is the
 //     mode the >= 2x solve-loop amortization claim is about.
 func BenchmarkSolveCheckpoint(b *testing.B) {
 	opts := Options{Duration: 2, ProbeDuration: 1.5, PathoFrac: 0.2, Seed: 1}

@@ -2,20 +2,20 @@ package exp
 
 import "repro/internal/platform"
 
-// PointStore is the persistence interface extracted from the session's
-// checkpoint layer: a durable, concurrency-safe backing for the three result
-// classes a session memoizes — solved operating points, probe demand
-// estimates, and the probe-boundary warm snapshots that let a measurement
-// continue its solve's verified run. The single-file SaveCheckpoint /
-// LoadCheckpoint pair persists the first two in bulk at end of run; a
-// PointStore persists all three incrementally, as they are produced, so a
-// long-running server (internal/serve/store is the content-addressed
-// implementation) survives process death without losing work.
+// PointStore is the session's persistence interface: a durable,
+// concurrency-safe backing for the three result classes a session memoizes
+// — solved operating points, probe demand estimates, and the probe-boundary
+// warm snapshots that let a measurement continue its solve's verified run.
+// A PointStore persists all three incrementally, as they are produced, so a
+// long-running server or an interrupted grid survives process death without
+// losing work. DirStore is the on-disk implementation; SaveCheckpoint and
+// LoadCheckpoint copy solves and demands into and out of the same format in
+// bulk.
 //
-// Keys are the session's canonical identity strings (the same strings the
-// checkpoint file uses), pinning everything the result depends on.
-// Implementations must be safe for concurrent use; Get methods return
-// ok=false for absent entries and reserve the error for I/O or corruption.
+// Keys are the session's canonical identity strings, pinning everything the
+// result depends on, resultVersion included. Implementations must be safe
+// for concurrent use; Get methods return ok=false for absent entries and
+// reserve the error for I/O or corruption.
 //
 // Store failures are deliberately non-fatal to the session: a failed Get is
 // a miss (the result is recomputed — determinism makes that safe), a failed
@@ -45,89 +45,60 @@ func (s *Session) pointStore() PointStore {
 	return s.store
 }
 
-// storeGetSolve consults the backing store for a solved point. Errors count
-// as misses (and into StoreErrs): determinism makes recomputing safe.
-func (s *Session) storeGetSolve(key string) (OperatingPoint, bool) {
+// storeGet consults the backing store through get. Errors count as misses
+// (and into StoreErrs): determinism makes recomputing safe.
+func storeGet[V any](s *Session, get func(PointStore) (V, bool, error)) (V, bool) {
+	var zero V
 	st := s.pointStore()
 	if st == nil {
-		return OperatingPoint{}, false
+		return zero, false
 	}
-	op, ok, err := st.GetSolve(key)
+	v, ok, err := get(st)
 	if err != nil {
 		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return OperatingPoint{}, false
+		return zero, false
 	}
 	if ok {
 		s.count(func(x *SessionStats) { x.StoreHits++ })
 	}
-	return op, ok
+	return v, ok
+}
+
+// storePut writes a computed result through to the backing store. A
+// failure loses only amortization and counts into StoreErrs.
+func (s *Session) storePut(put func(PointStore) error) {
+	st := s.pointStore()
+	if st == nil {
+		return
+	}
+	if err := put(st); err != nil {
+		s.count(func(x *SessionStats) { x.StoreErrs++ })
+		return
+	}
+	s.count(func(x *SessionStats) { x.StorePuts++ })
+}
+
+func (s *Session) storeGetSolve(key string) (OperatingPoint, bool) {
+	return storeGet(s, func(st PointStore) (OperatingPoint, bool, error) { return st.GetSolve(key) })
 }
 
 func (s *Session) storePutSolve(key string, op OperatingPoint) {
-	st := s.pointStore()
-	if st == nil {
-		return
-	}
-	if err := st.PutSolve(key, op); err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return
-	}
-	s.count(func(x *SessionStats) { x.StorePuts++ })
+	s.storePut(func(st PointStore) error { return st.PutSolve(key, op) })
 }
 
 func (s *Session) storeGetDemand(key string) (float64, bool) {
-	st := s.pointStore()
-	if st == nil {
-		return 0, false
-	}
-	d, ok, err := st.GetDemand(key)
-	if err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return 0, false
-	}
-	if ok {
-		s.count(func(x *SessionStats) { x.StoreHits++ })
-	}
-	return d, ok
+	return storeGet(s, func(st PointStore) (float64, bool, error) { return st.GetDemand(key) })
 }
 
 func (s *Session) storePutDemand(key string, demand float64) {
-	st := s.pointStore()
-	if st == nil {
-		return
-	}
-	if err := st.PutDemand(key, demand); err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return
-	}
-	s.count(func(x *SessionStats) { x.StorePuts++ })
+	s.storePut(func(st PointStore) error { return st.PutDemand(key, demand) })
 }
 
 func (s *Session) storeGetWarm(key string) *platform.Snapshot {
-	st := s.pointStore()
-	if st == nil {
-		return nil
-	}
-	snap, ok, err := st.GetWarm(key)
-	if err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return nil
-	}
-	if !ok {
-		return nil
-	}
-	s.count(func(x *SessionStats) { x.StoreHits++ })
+	snap, _ := storeGet(s, func(st PointStore) (*platform.Snapshot, bool, error) { return st.GetWarm(key) })
 	return snap
 }
 
 func (s *Session) storePutWarm(key string, snap *platform.Snapshot) {
-	st := s.pointStore()
-	if st == nil {
-		return
-	}
-	if err := st.PutWarm(key, snap); err != nil {
-		s.count(func(x *SessionStats) { x.StoreErrs++ })
-		return
-	}
-	s.count(func(x *SessionStats) { x.StorePuts++ })
+	s.storePut(func(st PointStore) error { return st.PutWarm(key, snap) })
 }

@@ -55,9 +55,9 @@ type Sweep struct {
 	// Session is the solve/measure engine every point runs through. The
 	// whole worker pool shares it, so built images, probe runs, solved
 	// points and probe-boundary snapshots are amortized across the grid —
-	// and, via Session checkpoints, across process invocations. NewSweep
-	// installs one; sharing a session across sweeps is allowed and safe
-	// (wbsn-bench shares one across its three experiments).
+	// and, via the session's result store, across process invocations.
+	// NewSweep installs one; sharing a session across sweeps is allowed and
+	// safe (wbsn-bench shares one across its three experiments).
 	Session *Session
 	// Cache memoizes signal synthesis across points; NewSweep aliases it to
 	// the session's cache so records and solves key identically.

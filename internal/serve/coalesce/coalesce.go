@@ -11,7 +11,10 @@
 // memoized, only shared with the callers that were already waiting on it.
 package coalesce
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Group deduplicates concurrent calls by key. The zero value is not usable;
 // use NewGroup.
@@ -39,7 +42,9 @@ func NewGroup() *Group {
 // block until it lands and receive the identical byte slice (callers must
 // treat it as immutable — it is shared). shared reports whether this caller
 // attached to another caller's flight. Once a flight completes it is
-// forgotten: a later Do with the same key runs fn again.
+// forgotten: a later Do with the same key runs fn again. A panic in fn
+// completes the flight with an error, which the caller that ran it and
+// every attached caller receive.
 func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if f, ok := g.flights[key]; ok {
@@ -53,12 +58,19 @@ func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 	g.started++
 	g.mu.Unlock()
 
+	// Land the flight even if fn panics, or every identical request after
+	// it would wait forever.
+	defer func() {
+		if r := recover(); r != nil {
+			f.val, f.err = nil, fmt.Errorf("coalesce: flight panicked: %v", r)
+			val, err = f.val, f.err
+		}
+		g.mu.Lock()
+		delete(g.flights, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
 	f.val, f.err = fn()
-
-	g.mu.Lock()
-	delete(g.flights, key)
-	g.mu.Unlock()
-	close(f.done)
 	return f.val, false, f.err
 }
 

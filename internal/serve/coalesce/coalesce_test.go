@@ -2,9 +2,11 @@ package coalesce
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestConcurrentCallsShareOneFlight pins the single-flight contract: K
@@ -76,5 +78,55 @@ func TestCompletedFlightsAreForgotten(t *testing.T) {
 	}
 	if runs != 2 {
 		t.Fatalf("fn ran %d times, want 2 (flights must not be memoized)", runs)
+	}
+}
+
+// TestPanickingFlightReleasesWaiters pins panic safety: when fn panics, the
+// caller that ran it and a caller already attached to its flight both get
+// an error within a bounded time, and the key is free again afterwards.
+func TestPanickingFlightReleasesWaiters(t *testing.T) {
+	g := NewGroup()
+	release := make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do("k", func() ([]byte, error) {
+			<-release
+			panic("boom")
+		})
+		leader <- err
+	}()
+	for started, _ := g.Stats(); started != 1; started, _ = g.Stats() {
+	}
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do("k", func() ([]byte, error) {
+			t.Error("attached caller ran fn")
+			return nil, nil
+		})
+		waiter <- err
+	}()
+	for _, coalesced := g.Stats(); coalesced != 1; _, coalesced = g.Stats() {
+	}
+	close(release)
+	for _, c := range []struct {
+		name string
+		ch   chan error
+	}{{"leader", leader}, {"waiter", waiter}} {
+		select {
+		case err := <-c.ch:
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Errorf("%s: err = %v, want the panic as an error", c.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still blocked after the flight panicked", c.name)
+		}
+	}
+
+	v, shared, err := g.Do("k", func() ([]byte, error) { return []byte("again"), nil })
+	if err != nil || shared || string(v) != "again" {
+		t.Fatalf("later Do: v=%q shared=%v err=%v, want fn to run afresh", v, shared, err)
+	}
+	if started, _ := g.Stats(); started != 2 {
+		t.Fatalf("started = %d, want 2", started)
 	}
 }

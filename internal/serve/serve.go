@@ -3,9 +3,9 @@
 // over HTTP/JSON on a shared exp.Session. Three layers turn the expensive
 // compute kernel into something a fleet of clients can hit concurrently:
 //
-//   - a content-addressed result store (internal/serve/store) persisting
-//     solved points, demand estimates and probe-boundary warm snapshots
-//     across restarts;
+//   - a content-addressed result store (exp.DirStore, the same directory
+//     format as wbsn-bench -checkpoint) persisting solved points, demand
+//     estimates and probe-boundary warm snapshots across restarts;
 //   - a bounded LRU of pristine platform templates (the session's template
 //     cache under a cap), keeping memory flat under workload diversity
 //     while amortizing image builds;
@@ -37,7 +37,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/serve/coalesce"
-	"repro/internal/serve/store"
 	"repro/internal/serve/wire"
 )
 
@@ -74,7 +73,7 @@ type Config struct {
 type Engine struct {
 	session   *exp.Session
 	params    *power.Params
-	store     *store.Store
+	store     *exp.DirStore
 	scenarios map[string]*scenario.Scenario
 	names     []string
 	jobs      int
@@ -110,7 +109,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.session.SetTemplateCap(cfg.TemplateCap)
 	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir)
+		st, err := exp.OpenStore(cfg.StoreDir)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +147,7 @@ func (e *Engine) Scenarios() []string { return e.names }
 func (e *Engine) Session() *exp.Session { return e.session }
 
 // Store exposes the backing store (nil when persistence is disabled).
-func (e *Engine) Store() *store.Store { return e.store }
+func (e *Engine) Store() *exp.DirStore { return e.store }
 
 // Registry exposes the engine's metrics registry.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
@@ -198,6 +197,9 @@ func (e *Engine) resolveCommon(scenarioName string, durationS, probeS float64, s
 			return "", exp.Options{}, fmt.Errorf("pathological_frac %v outside [0, 1]", *pathoFrac)
 		}
 		opts.PathoFrac = *pathoFrac
+	}
+	if err := opts.CheckRecord(); err != nil {
+		return "", exp.Options{}, fmt.Errorf("duration_s (%v) or probe_s (%v) out of range: %w", durationS, probeS, err)
 	}
 	opts.Exact = exact
 	opts.Scenario = scenarioName

@@ -45,6 +45,9 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 		{"unknown app", "/v1/measure", `{"app":"4l-mf","arch":"sc"}`, http.StatusBadRequest, "unknown app"},
 		{"bad arch", "/v1/solve", `{"app":"3l-mf","arch":"quad"}`, http.StatusBadRequest, ""},
 		{"sweep unknown app", "/v1/sweep", `{"apps":["bogus"]}`, http.StatusBadRequest, "unknown app"},
+		{"oversized duration", "/v1/solve", `{"app":"3l-mf","arch":"mc","duration_s":1e12}`, http.StatusBadRequest, "record bound"},
+		{"oversized probe", "/v1/measure", `{"app":"3l-mf","arch":"mc","probe_s":1e12}`, http.StatusBadRequest, "record bound"},
+		{"oversized sweep", "/v1/sweep", `{"apps":["3l-mf"],"duration_s":1e300}`, http.StatusBadRequest, "record bound"},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, srv, tc.path, tc.body)

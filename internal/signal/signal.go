@@ -237,6 +237,29 @@ func Kinds() []string {
 	return out
 }
 
+// MaxSamples bounds a record's length in base-rate samples per channel.
+// Synthesis holds every channel in memory at once, with float64 scratch
+// beside the int16 traces (about 30 bytes per sample for three-lead ECG),
+// so the bound keeps one record near 120 MiB. That is still over 4.6 hours
+// of the paper's 250 Hz ECG, against the paper's 60 s measurement windows.
+const MaxSamples = 1 << 22
+
+// CheckDuration reports whether a record of duration seconds at rateHz
+// base-rate samples per second is one Synthesize accepts: finite, at least
+// one sample, and at most MaxSamples.
+func CheckDuration(duration, rateHz float64) error {
+	n := duration * rateHz
+	switch {
+	case math.IsNaN(n) || math.IsInf(n, 0):
+		return fmt.Errorf("signal: non-finite duration %v at %v Hz", duration, rateHz)
+	case n < 1:
+		return fmt.Errorf("signal: non-positive duration %v at %v Hz", duration, rateHz)
+	case n > MaxSamples:
+		return fmt.Errorf("signal: duration %v s at %v Hz is %.4g samples per channel, over the %d-sample record bound", duration, rateHz, n, MaxSamples)
+	}
+	return nil
+}
+
 // Synthesize generates duration seconds of signal: it normalizes the
 // configuration, dispatches to the kind's registered synthesizer and
 // decimates each channel to its configured rate.
@@ -249,8 +272,8 @@ func Synthesize(cfg Config, duration float64) (*Source, error) {
 	if !ok {
 		return nil, fmt.Errorf("signal: kind %q has no registered synthesizer (registered: %v)", cfg.Kind, Kinds())
 	}
-	if n := int(duration * cfg.SampleRateHz); n <= 0 {
-		return nil, fmt.Errorf("signal: non-positive duration %v at %v Hz", duration, cfg.SampleRateHz)
+	if err := CheckDuration(duration, cfg.SampleRateHz); err != nil {
+		return nil, err
 	}
 	src, err := entry.synth(cfg, duration)
 	if err != nil {

@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -241,6 +242,47 @@ func TestConfigErrors(t *testing.T) {
 	}
 	if _, err := Synthesize(DefaultConfig(KindEMG), 0); err == nil {
 		t.Error("zero duration accepted")
+	}
+}
+
+// TestDurationBound pins the record-length bound: non-finite durations and
+// records over MaxSamples per channel are refused before any allocation,
+// and a record of exactly MaxSamples is accepted.
+func TestDurationBound(t *testing.T) {
+	const rate = 250
+	maxS := float64(MaxSamples) / rate
+	cases := []struct {
+		name     string
+		duration float64
+		want     string // "" = accepted
+	}{
+		{"one sample", 1.0 / rate, ""},
+		{"paper window", 60, ""},
+		{"at the bound", maxS, ""},
+		{"one sample over", maxS + 1.0/rate, "record bound"},
+		{"1e12 s", 1e12, "record bound"},
+		{"zero", 0, "non-positive"},
+		{"under one sample", 0.5 / rate, "non-positive"},
+		{"negative", -1, "non-positive"},
+		{"NaN", math.NaN(), "non-finite"},
+		{"+Inf", math.Inf(1), "non-finite"},
+		{"-Inf", math.Inf(-1), "non-finite"},
+	}
+	for _, tc := range cases {
+		err := CheckDuration(tc.duration, rate)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v, want accepted", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		// Synthesize applies the same check (ECG's default rate is 250 Hz).
+		if _, err := Synthesize(Config{Kind: KindECG}, tc.duration); err == nil {
+			t.Errorf("%s: Synthesize accepted it", tc.name)
+		}
 	}
 }
 
